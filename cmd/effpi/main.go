@@ -74,7 +74,7 @@ commands:
           file, statically extract the protocol from the Go source
           first — FAIL witnesses then carry file:line positions
   lint    run the Go-source extractor for diagnostics only (exit 1 on
-          any finding); also available standalone as cmd/effpilint
+          any finding or load error)
   lts     explore and print the type-level transition system
 
 common flags:
@@ -341,8 +341,8 @@ func verifyPackages(patterns []string, propName, channels, from, to string, open
 	return nil
 }
 
-// cmdLint runs the extractor for its diagnostics only: `effpi lint` is
-// the in-CLI flavour of cmd/effpilint. Exit status 1 on any finding.
+// cmdLint runs the extractor for its diagnostics only. Exit status 1
+// on any finding or load error.
 func cmdLint(args []string) error {
 	fs := flag.NewFlagSet("lint", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {

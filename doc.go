@@ -86,8 +86,8 @@
 // — effpid's "go_source" requests and the "pos" witness field).
 // Constructs outside the extractable fragment produce positioned
 // GoDiagnostics — τ-widened over-approximations where sound, refusals
-// where not, never a silently wrong term; "effpi lint" and
-// cmd/effpilint surface them standalone. See DESIGN.md §Go-source
+// where not, never a silently wrong term; "effpi lint" surfaces them
+// standalone. See DESIGN.md §Go-source
 // frontend.
 //
 // Partial-order reduction: WithPartialOrder(PartialOrderOn) — "-por on"

@@ -14,7 +14,9 @@ const (
 	EventPropertyStarted
 	// EventPropertyVerdict reports a property's verdict; on FAIL,
 	// Witness carries the replay-validated counterexample (nil for
-	// ev-usage, whose failures have no single-run witness).
+	// ev-usage, whose failures have no single-run witness). A VerifyAll
+	// batch, early-exit ones included, emits its verdict events in input
+	// order once the whole batch has finished.
 	EventPropertyVerdict
 )
 

@@ -19,6 +19,7 @@ package lts
 
 import (
 	"context"
+	"maps"
 
 	"effpi/internal/typelts"
 	"effpi/internal/types"
@@ -149,6 +150,8 @@ func (x *Incremental) Snapshot() *LTS {
 		Truncated: x.b.l.Truncated,
 		States:    append([]types.Type{}, x.b.l.States...),
 		Labels:    append([]typelts.Label{}, x.b.l.Labels...),
+		in:        x.b.in,
+		rank:      maps.Clone(x.b.rank),
 	}
 	var sym *SymInfo
 	if src := x.b.l.Sym; src != nil {

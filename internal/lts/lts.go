@@ -66,6 +66,11 @@ type LTS struct {
 	// permutations and the per-state orbit sizes. Nil for plain
 	// explorations.
 	Sym *SymInfo
+	// in and rank order the ‖-components of printed states (Components):
+	// the exploration's interner and its builder's first-encounter rank
+	// of every component ID. Nil for an LTS no exploration built.
+	in   *types.Interner
+	rank map[types.ID]int32
 }
 
 // SymInfo records the bookkeeping of a symmetric exploration. States of
@@ -95,6 +100,32 @@ func (l *LTS) EdgePerm(s, k int) int32 {
 		return 0
 	}
 	return l.Sym.edgePerms[int(l.start[s])+k]
+}
+
+// Components returns the ‖-components of state s in the exploration's
+// first-encounter (rank) order. States[s] lists them in interner ID
+// order, and IDs are assigned in schedule order when concurrent
+// explorations share an interner; rank order is fixed by the
+// exploration alone, so every printed form of a state goes through
+// Components.
+func (l *LTS) Components(s int) []types.Type {
+	comps := types.FlattenPar(l.States[s])
+	if l.rank == nil {
+		return comps
+	}
+	type ranked struct {
+		rank int32
+		t    types.Type
+	}
+	rs := make([]ranked, len(comps))
+	for i, c := range comps {
+		rs[i] = ranked{l.rank[l.in.Intern(c)], c}
+	}
+	sort.SliceStable(rs, func(i, j int) bool { return rs[i].rank < rs[j].rank })
+	for i, r := range rs {
+		comps[i] = r.t
+	}
+	return comps
 }
 
 // Covered returns the number of concrete states the LTS represents: the
@@ -334,15 +365,16 @@ type builder struct {
 const dedupThreshold = 32
 
 func newBuilder(sem *typelts.Semantics, maxStates int) *builder {
-	return &builder{
+	b := &builder{
 		sem:       sem,
 		in:        sem.Cache.Interner(),
-		l:         &LTS{Initial: 0, start: make([]int32, 1, 64)},
 		index:     make(map[types.ID]int32, 256),
 		labelIdx:  make(map[typelts.LabelKey]int32, 16),
 		maxStates: maxStates,
 		rank:      make(map[types.ID]int32, 64),
 	}
+	b.l = &LTS{Initial: 0, start: make([]int32, 1, 64), in: b.in, rank: b.rank}
+	return b
 }
 
 // rankOf returns the builder-local rank of a component ID, assigning
@@ -691,7 +723,7 @@ func (l *LTS) DOT() string {
 	b.WriteString("digraph lts {\n  rankdir=LR;\n")
 	fmt.Fprintf(&b, "  init [shape=point];\n  init -> s%d;\n", l.Initial)
 	for i := range l.States {
-		fmt.Fprintf(&b, "  s%d [label=%q];\n", i, truncate(l.States[i].String(), 60))
+		fmt.Fprintf(&b, "  s%d [label=%q];\n", i, truncate(types.ParOf(l.Components(i)...).String(), 60))
 	}
 	for src := range l.States {
 		for _, e := range l.Out(src) {

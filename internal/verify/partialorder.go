@@ -93,38 +93,6 @@ func porEligible(k Kind) bool {
 	}
 }
 
-// porProps decides, per batch property, whether it takes the
-// partial-order path in VerifyAll (own ample exploration instead of the
-// group's shared LTS): the mode must be on, the schema eligible, and —
-// when symmetry reduction is also requested for a closed property — the
-// batch must not have a detectable symmetry group, because a detected
-// group claims the exploration (same precedence VerifyContext applies).
-// The probe runs DetectSymmetry at most once, with the same pinned set
-// the group exploration would use, so the two decisions agree.
-func porProps(cache *typelts.Cache, t types.Type, props []Property, obsSets []map[string]bool, propErrs []error, opts AllOptions) []bool {
-	out := make([]bool, len(props))
-	if opts.PartialOrder != PartialOrderOn {
-		return out
-	}
-	var probed, symDetected bool
-	for i, p := range props {
-		if propErrs[i] != nil || !porEligible(p.Kind) {
-			continue
-		}
-		if opts.Symmetry == SymmetryOn && len(obsSets[i]) == 0 {
-			if !probed {
-				probed = true
-				symDetected = lts.DetectSymmetry(cache, t, batchPinnedChannels(props)) != nil
-			}
-			if symDetected {
-				continue
-			}
-		}
-		out[i] = true
-	}
-	return out
-}
-
 // porFilter builds the ample-set filter for an eligible property, or
 // nil for the rest. The visible set contains exactly the labels whose
 // presence or position a run of the property's formula can distinguish

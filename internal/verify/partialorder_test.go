@@ -3,7 +3,10 @@ package verify
 import (
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"effpi/internal/lts"
 )
 
 // TestParsePartialOrder covers the flag/wire-name round trip and the
@@ -263,6 +266,37 @@ func TestVerifyAllPartialOrderSymmetryPrecedence(t *testing.T) {
 		if both[i].Holds != symOnly[i].Holds || both[i].StatesExplored != symOnly[i].StatesExplored {
 			t.Errorf("%s: outcome (%v, %d) differs from symmetry-only batch (%v, %d)",
 				props[i], both[i].Holds, both[i].StatesExplored, symOnly[i].Holds, symOnly[i].StatesExplored)
+		}
+	}
+}
+
+// TestVerifyAllPartialOrderProgress: a batch whose properties all take
+// their own ample explorations still reports exploration progress, at
+// par 1 and at par ≥ 2 alike.
+func TestVerifyAllPartialOrderProgress(t *testing.T) {
+	env, sys := philosophers(3, false)
+	props := []Property{
+		{Kind: DeadlockFree, Channels: []string{"f0"}},
+		{Kind: NonUsage, Channels: []string{"f1"}},
+		{Kind: Reactive, From: "f2"},
+	}
+	for _, par := range []int{1, 4} {
+		var calls atomic.Int64
+		outs, err := VerifyAllWith(env, sys, props, AllOptions{
+			Parallelism:  par,
+			PartialOrder: PartialOrderOn,
+			Progress:     func(lts.Progress) { calls.Add(1) },
+		})
+		if err != nil {
+			t.Fatalf("par %d: %v", par, err)
+		}
+		for _, o := range outs {
+			if !o.PartialOrder {
+				t.Fatalf("par %d %s: not explored under partial-order reduction", par, o.Property)
+			}
+		}
+		if calls.Load() == 0 {
+			t.Errorf("par %d: no exploration progress reported", par)
 		}
 	}
 }

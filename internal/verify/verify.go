@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"effpi/internal/lts"
@@ -166,11 +167,6 @@ type Request struct {
 	// every concrete successor (the two exploration-time reductions do
 	// not stack; see DESIGN.md §por).
 	PartialOrder PartialOrderMode
-	// symPinned extends the pinned channel set of symmetry detection
-	// beyond the property's own channels. VerifyAll sets it to the batch
-	// union so one orbit exploration is sound for every property sharing
-	// it.
-	symPinned []string
 	// joint, when non-nil, is the shared cross-property joint quotient of
 	// the reused LTS (see buildJoint); a ReduceStrong check then refines
 	// the joint quotient instead of the full LTS.
@@ -221,7 +217,9 @@ type Outcome struct {
 	// ProductStates and AutomatonStates report model-checker effort.
 	ProductStates   int
 	AutomatonStates int
-	// Duration is the wall-clock verification time (exploration+check).
+	// Duration is the wall-clock verification time: exploration and
+	// check for a single request; under VerifyAll, the property task's
+	// wall time, including its group exploration's run or wait.
 	Duration time.Duration
 	// Counterexample is a violating run when Holds is false.
 	Counterexample *mucalc.Trace
@@ -294,7 +292,7 @@ func VerifyContext(ctx context.Context, req Request) (*Outcome, error) {
 		if !sem.HasCompatibleCache() {
 			sem.Cache = typelts.NewCache(req.Env, true)
 		}
-		sym = lts.DetectSymmetry(sem.Cache, req.Type, append(pinnedChannels(req.Property), req.symPinned...))
+		sym = lts.DetectSymmetry(sem.Cache, req.Type, pinnedChannels(req.Property))
 	}
 
 	// Partial-order reduction engages only when the exploration is ours to
@@ -362,26 +360,35 @@ func VerifyContext(ctx context.Context, req Request) (*Outcome, error) {
 	out.Witness = DecodeWitness(m, res.Witness)
 	out.Duration = time.Since(start)
 	if !out.Holds {
-		symmetric := m.Sym != nil && out.Witness != nil
-		if symmetric {
-			// The witness runs over orbit representatives; rewrite it as
-			// a concrete run before validation.
-			if err := liftSymmetric(ctx, req, sem, m, out); err != nil {
-				return nil, fmt.Errorf("verify: symmetry produced an invalid counterexample lift: %w", err)
-			}
-		}
-		if req.Reduction == ReduceStrong || symmetric || out.PartialOrder {
-			// The witness was found on a reduced space — a quotient
-			// (blocks, orbits or both, lifted above) or an ample-reduced
-			// edge-subset (already a concrete run, no lift needed) — so
-			// the FAIL is only reported once the existing replay oracle
-			// confirms a genuine concrete violation.
-			if err := Replay(out); err != nil {
-				return nil, fmt.Errorf("verify: reduction produced an invalid counterexample lift: %w", err)
-			}
+		if err := confirmFail(ctx, req, sem, m, out); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// confirmFail turns a FAIL found on a reduced space into a confirmed
+// concrete violation before it is reported. An orbit-LTS witness runs
+// over canonical representatives, so it is first lifted to a concrete
+// run; then every witness found on a reduced space — a quotient (blocks,
+// orbits or both) or an ample-reduced edge-subset, which is already a
+// concrete run — must pass the replay oracle. The on-the-fly engine
+// skips the Reduce stage, so its FAILs need replay only under symmetry
+// or partial order.
+func confirmFail(ctx context.Context, req Request, sem *typelts.Semantics, m *lts.LTS, out *Outcome) error {
+	symmetric := m.Sym != nil && out.Witness != nil
+	if symmetric {
+		if err := liftSymmetric(ctx, req, sem, m, out); err != nil {
+			return fmt.Errorf("verify: symmetry produced an invalid counterexample lift: %w", err)
+		}
+	}
+	quotiented := req.Reduction == ReduceStrong && !out.EarlyExit
+	if quotiented || symmetric || out.PartialOrder {
+		if err := Replay(out); err != nil {
+			return fmt.Errorf("verify: reduction produced an invalid counterexample lift: %w", err)
+		}
+	}
+	return nil
 }
 
 // verifyOnTheFly runs the early-exit pipeline: the nested DFS of
@@ -424,24 +431,8 @@ func verifyOnTheFly(ctx context.Context, req Request, sem *typelts.Semantics, sy
 	if !out.Holds {
 		out.Counterexample = failed.Counterexample
 		out.Witness = DecodeWitness(m, failed.Witness)
-		if m.Sym != nil && out.Witness != nil {
-			// Symbolic formulas read labels directly, so the lift needs no
-			// recompilation — but the witness must still become a concrete
-			// run, validated by the replay oracle like every other
-			// symmetric FAIL.
-			if err := liftSymmetric(ctx, req, sem, m, out); err != nil {
-				return nil, fmt.Errorf("verify: symmetry produced an invalid counterexample lift: %w", err)
-			}
-			if err := Replay(out); err != nil {
-				return nil, fmt.Errorf("verify: reduction produced an invalid counterexample lift: %w", err)
-			}
-		} else if out.PartialOrder {
-			// The ample-reduced fragment is an edge-subset of the full
-			// space, so the witness is already a concrete run; validate it
-			// directly before reporting the FAIL.
-			if err := Replay(out); err != nil {
-				return nil, fmt.Errorf("verify: partial-order reduction produced an invalid counterexample: %w", err)
-			}
+		if err := confirmFail(ctx, req, sem, m, out); err != nil {
+			return nil, err
 		}
 	}
 	out.Duration = time.Since(start)
@@ -473,9 +464,10 @@ type AllOptions struct {
 	// witnesses, less repeated work.
 	Reduction Reduction
 	// Symmetry selects exploration-time symmetry reduction for every
-	// property of the batch (see Request.Symmetry). The orbit exploration
-	// is shared per group, pinning the union of every property's
-	// channels, so one exploration is sound for all of them.
+	// property of the batch (see Request.Symmetry). The batch detects the
+	// group once, pinning the union of every property's channels, so the
+	// closed group's one orbit exploration is sound for all of them.
+	// Early-exit batches detect per property instead (see EarlyExit).
 	Symmetry SymmetryMode
 	// PartialOrder selects exploration-time partial-order reduction for
 	// every property of the batch (see Request.PartialOrder). Because the
@@ -483,10 +475,16 @@ type AllOptions struct {
 	// reuse the group exploration: it explores its own ample-reduced LTS
 	// over the shared transition cache, and group explorations only run
 	// for the properties that still need the full space. When symmetry
-	// reduction is also on and a group is detected for the closed
-	// properties, symmetry wins and those properties fall back to the
-	// shared orbit exploration (same precedence as Request.PartialOrder).
+	// reduction is also on and a group is detected, the closed properties
+	// share the orbit exploration instead (same precedence as
+	// Request.PartialOrder).
 	PartialOrder PartialOrderMode
+	// EarlyExit selects on-the-fly checking for every property of the
+	// batch (see Request.EarlyExit). An on-the-fly fragment must never
+	// serve another property, so every property explores its own LTS, as
+	// a single VerifyContext request would — symmetry detection included,
+	// pinned to the property's own channels.
+	EarlyExit bool
 	// Cache, when non-nil, is the shared transition cache every
 	// exploration runs on, letting a long-lived owner (the public
 	// package's Workspace) reuse per-component work across whole
@@ -495,292 +493,221 @@ type AllOptions struct {
 	// per-call cache, the previous behaviour.
 	Cache *typelts.Cache
 	// Progress, when non-nil, receives periodic exploration snapshots
-	// from every group exploration (lts.Options.Progress). Under the
-	// concurrent pipeline callbacks arrive from multiple goroutines; the
-	// callee must be safe for that.
+	// from every exploration of the batch, shared or own
+	// (lts.Options.Progress). At Parallelism ≥ 2 callbacks arrive from
+	// multiple goroutines; the callee must be safe for that.
 	Progress func(lts.Progress)
-	// Parallelism selects the engine and sizes each exploration's worker
-	// pool: 0 = GOMAXPROCS, 1 = the fully serial engine (explorations
-	// and property checks run one after another — the reference
-	// behaviour). Values ≥ 2 enable the concurrent pipeline, in which
-	// every observable-set group explores on its own goroutine (with
-	// Parallelism BFS workers each) and every property checks on its
-	// own goroutine — so the *goroutine* count scales with the group
-	// and property counts too; actual CPU use stays bounded by
-	// GOMAXPROCS, which is the knob for capping machine load. At any
-	// value the verdicts, state counts and explored LTSes are
-	// identical; only wall-clock changes.
+	// Parallelism sizes the executor and each exploration's worker pool:
+	// 0 = GOMAXPROCS. At 1 the properties run inline, one after another
+	// in input order. At ≥ 2 every property runs on its own goroutine,
+	// so every observable-set group starts exploring at once (with
+	// Parallelism BFS workers each) — the *goroutine* count scales with
+	// the property count; actual CPU use stays bounded by GOMAXPROCS,
+	// which is the knob for capping machine load. At any value the
+	// verdicts, state counts, witnesses and explored LTSes are identical;
+	// only wall-clock changes.
 	Parallelism int
 }
 
-// VerifyAllWith is VerifyAll with explicit parallelism. With Parallelism
-// ≠ 1 the pipeline is concurrent on three levels: property groups
-// (distinct observable sets) explore their LTSes on parallel goroutines
-// over one shared transition cache; each exploration is itself a
-// parallel BFS (lts.Options.Parallelism); and the model-checking stages
-// (mucalc.Check / EvUsageHolds) of independent properties run on their
-// own goroutines over the shared read-only LTSes. Outcomes are collected
-// in input order, and the error contract matches the serial engine:
-// outcomes up to the first failing property, plus that property's error.
+// VerifyAllWith is VerifyAll with explicit options. One executor runs
+// every batch: a plan (planBatch) first routes each property to a shared
+// observable-set group exploration or to its own, then one task per
+// property explores or waits for its group, checks the property
+// (mucalc.Check / EvUsageHolds) on the shared read-only LTS, and
+// confirms any FAIL. AllOptions.Parallelism only decides whether the
+// tasks run inline or on their own goroutines; each exploration is
+// itself a parallel BFS (lts.Options.Parallelism). Outcomes are
+// collected in input order: outcomes up to the first failing property,
+// plus that property's error.
 func VerifyAllWith(env *types.Env, t types.Type, props []Property, opts AllOptions) ([]*Outcome, error) {
 	return VerifyAllContext(context.Background(), env, t, props, opts)
 }
 
 // VerifyAllContext is VerifyAllWith with cancellation: ctx reaches every
-// group exploration and every model-checking stage, so the whole batch
-// unwinds promptly — with an error wrapping ctx.Err() — once the context
-// is done. The error contract is unchanged (outcomes up to the first
-// failing property, plus that property's error); under the concurrent
-// pipeline a cancelled context typically surfaces on the earliest
-// still-running property.
+// exploration and every model-checking stage, so the whole batch unwinds
+// promptly — with an error wrapping ctx.Err() — once the context is
+// done. The error contract is unchanged; at Parallelism ≥ 2 a cancelled
+// context typically surfaces on the earliest still-running property.
 func VerifyAllContext(ctx context.Context, env *types.Env, t types.Type, props []Property, opts AllOptions) ([]*Outcome, error) {
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par == 1 {
-		return verifyAllSerial(ctx, env, t, props, opts)
-	}
-
 	outcomes := make([]*Outcome, 0, len(props))
 	if len(props) == 0 {
 		return outcomes, nil
 	}
-	// Fail fast (and once) on inadmissible types instead of racing every
-	// exploration into the same error; the serial engine reports this
-	// against the first property.
+	// Fail fast, and once, on an inadmissible type, reported against the
+	// first property.
 	if err := Admissible(env, t); err != nil {
 		return outcomes, fmt.Errorf("%s: %w", props[0], err)
 	}
+	par := opts.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
+	if opts.Cache == nil {
+		opts.Cache = typelts.NewCache(env, true)
+	}
+	routes := planBatch(env, t, props, opts)
 
-	// Group properties by observable set. ObservablesFor errors are
-	// deferred per property so the input-order error contract holds.
-	keys := make([]string, len(props))
-	obsSets := make([]map[string]bool, len(props))
-	propErrs := make([]error, len(props))
-	for i, p := range props {
-		obs, err := ObservablesFor(env, p)
-		if err != nil {
-			propErrs[i] = err
-			continue
-		}
-		sorted := append([]string{}, obs...)
-		sort.Strings(sorted)
-		keys[i] = strings.Join(sorted, ",")
-		set := make(map[string]bool, len(obs))
-		for _, x := range obs {
-			set[x] = true
-		}
-		obsSets[i] = set
-	}
-
-	// One exploration per distinct observable set, all concurrent, all
-	// sharing the transition cache (so groups still reuse each other's
-	// per-component work even though their Y-limitations differ). The
-	// group goroutine also prepares the shared per-group artifacts the
-	// property checks consume: the symmetry group (closed groups only —
-	// at most one group qualifies, so the single-exploration discipline
-	// of lts.Symmetry holds) and the joint quotient.
-	shared := opts.Cache
-	if shared == nil {
-		shared = typelts.NewCache(env, true)
-	}
-	batchPinned := batchPinnedChannels(props)
-	porProp := porProps(shared, t, props, obsSets, propErrs, opts)
-	// Properties taking the partial-order path explore their own reduced
-	// LTS inside VerifyContext, so they neither join nor force a group
-	// exploration (and the joint quotient is built without them).
-	groupProps := map[string][]Property{}
-	for i, p := range props {
-		if propErrs[i] == nil && !porProp[i] {
-			groupProps[keys[i]] = append(groupProps[keys[i]], p)
-		}
-	}
-	type exploration struct {
-		done  chan struct{}
-		lts   *lts.LTS
-		joint *jointQuotient
-		err   error
-	}
-	groups := map[string]*exploration{}
-	for i := range props {
-		if propErrs[i] != nil || porProp[i] {
-			continue
-		}
-		if _, ok := groups[keys[i]]; ok {
-			continue
-		}
-		g := &exploration{done: make(chan struct{})}
-		groups[keys[i]] = g
-		go func(obs map[string]bool, key string, g *exploration) {
-			defer close(g.done)
-			sem := &typelts.Semantics{Env: env, Observable: obs, WitnessOnly: true, Cache: shared}
-			var sym *lts.Symmetry
-			if opts.Symmetry == SymmetryOn && len(obs) == 0 {
-				sym = lts.DetectSymmetry(shared, t, batchPinned)
-			}
-			g.lts, g.err = lts.ExploreContext(ctx, sem, t, lts.Options{MaxStates: opts.MaxStates, Parallelism: par, Progress: opts.Progress, Symmetry: sym})
+	explore := func(g *groupCell) error {
+		g.once.Do(func() {
+			sem := &typelts.Semantics{Env: env, Observable: g.obs, WitnessOnly: true, Cache: opts.Cache}
+			g.lts, g.err = lts.ExploreContext(ctx, sem, t, lts.Options{MaxStates: opts.MaxStates, Parallelism: par, Progress: opts.Progress, Symmetry: g.sym})
 			if g.err == nil && opts.Reduction == ReduceStrong {
-				g.joint = buildJoint(ctx, env, g.lts, groupProps[key])
+				g.joint = buildJoint(ctx, env, g.lts, g.props)
 			}
-		}(obsSets[i], keys[i], g)
+		})
+		return g.err
+	}
+	// task verifies one property. Its outcome's Duration is the task's
+	// wall time, including its group exploration's run or wait.
+	task := func(i int) (*Outcome, error) {
+		start := time.Now()
+		r := routes[i]
+		if r.err != nil {
+			return nil, r.err
+		}
+		req := Request{
+			Env: env, Type: t, Property: props[i], MaxStates: opts.MaxStates,
+			Cache: opts.Cache, Parallelism: par, Progress: opts.Progress,
+			Reduction: opts.Reduction, Symmetry: r.symmetry, PartialOrder: opts.PartialOrder,
+			EarlyExit: opts.EarlyExit,
+		}
+		if g := r.group; g != nil {
+			if err := explore(g); err != nil {
+				return nil, err
+			}
+			req.Reuse, req.joint = g.lts, g.joint
+		}
+		o, err := VerifyContext(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		o.Duration = time.Since(start)
+		return o, nil
 	}
 
-	// Property checks: one goroutine each, blocking on its group's LTS.
-	// Each outcome's Duration is the property's wall-clock time including
-	// the (shared, overlapping) exploration wait.
+	// At Parallelism 1 the tasks run inline in input order, each group
+	// exploring at its first property, and the batch stops at the first
+	// error. Otherwise every task runs on its own goroutine.
 	results := make([]*Outcome, len(props))
-	done := make(chan struct{})
-	var pending int
+	errs := make([]error, len(props))
+	var wg sync.WaitGroup
 	for i := range props {
-		if propErrs[i] != nil {
+		if par == 1 {
+			if results[i], errs[i] = task(i); errs[i] != nil {
+				break
+			}
 			continue
 		}
-		pending++
+		wg.Add(1)
 		go func(i int) {
-			defer func() { done <- struct{}{} }()
-			start := time.Now()
-			var reuse *lts.LTS
-			var joint *jointQuotient
-			porMode := PartialOrderOff
-			if porProp[i] {
-				// Per-property ample exploration (shared cache, no group
-				// LTS): the reduced space depends on the property's own
-				// visible-label set.
-				porMode = PartialOrderOn
-			} else {
-				g := groups[keys[i]]
-				<-g.done
-				if g.err != nil {
-					propErrs[i] = g.err
-					return
-				}
-				reuse, joint = g.lts, g.joint
-			}
-			o, err := VerifyContext(ctx, Request{
-				Env: env, Type: t, Property: props[i],
-				MaxStates: opts.MaxStates, Reuse: reuse, Cache: shared, Parallelism: par,
-				Reduction: opts.Reduction, Symmetry: opts.Symmetry, PartialOrder: porMode,
-				symPinned: batchPinned, joint: joint,
-			})
-			if err != nil {
-				propErrs[i] = err
-				return
-			}
-			o.Duration = time.Since(start)
-			results[i] = o
+			defer wg.Done()
+			results[i], errs[i] = task(i)
 		}(i)
 	}
-	for ; pending > 0; pending-- {
-		<-done
-	}
-
+	wg.Wait()
 	for i, p := range props {
-		if propErrs[i] != nil {
-			return outcomes, fmt.Errorf("%s: %w", p, propErrs[i])
+		if errs[i] != nil {
+			return outcomes, fmt.Errorf("%s: %w", p, errs[i])
 		}
 		outcomes = append(outcomes, results[i])
 	}
 	return outcomes, nil
 }
 
-// verifyAllSerial is the reference single-threaded pipeline (and the
-// baseline the parallel engine is measured against): one property after
-// another, LTS reuse by observable-set key, one shared cache. Group
-// explorations run at the first property of each key — with the same
-// shared symmetry group and joint quotient the concurrent pipeline
-// prepares — so outcomes (verdicts, state counts, witnesses) are
-// byte-identical at any AllOptions.Parallelism.
-func verifyAllSerial(ctx context.Context, env *types.Env, t types.Type, props []Property, opts AllOptions) ([]*Outcome, error) {
-	outcomes := make([]*Outcome, 0, len(props))
-	shared := opts.Cache
-	if shared == nil {
-		shared = typelts.NewCache(env, true)
-	}
-	batchPinned := batchPinnedChannels(props)
+// route is one batch property's place in the plan.
+type route struct {
+	// err is the property's deferred ObservablesFor error, reported in
+	// input order like every other property error.
+	err error
+	// group is the shared exploration the property reuses; nil means it
+	// explores its own LTS.
+	group *groupCell
+	// symmetry is the mode an own exploration runs under.
+	symmetry SymmetryMode
+}
 
-	// First pass: group the properties by observable set, deferring
-	// ObservablesFor errors so the input-order error contract holds.
+// groupCell is one observable-set group: the properties sharing one
+// exploration and, once a task has run it, that exploration and its
+// joint quotient. It runs at most once, for whichever of its properties
+// asks first.
+type groupCell struct {
+	obs   map[string]bool
+	sym   *lts.Symmetry
+	props []Property
+	once  sync.Once
+	lts   *lts.LTS
+	joint *jointQuotient
+	err   error
+}
+
+// planBatch routes every property of a batch before anything is
+// explored:
+//
+//   - Properties with the same observable set share one group
+//     exploration; the key is order-insensitive.
+//   - A PartialOrderOn-eligible property explores its own ample-reduced
+//     LTS, since its visible-label set is its own — unless symmetry
+//     claims it. With SymmetryOn the batch runs DetectSymmetry once,
+//     pinned to the union of every property's channels; a detected group
+//     sends the closed properties to the shared orbit exploration (the
+//     precedence of Request.PartialOrder).
+//   - Every property of an EarlyExit batch explores its own LTS, since
+//     an on-the-fly fragment must never serve another property, and
+//     keeps a single request's symmetry detection.
+//
+// A non-early-exit own exploration runs with symmetry off: every closed
+// property a detected group claims reuses the group.
+func planBatch(env *types.Env, t types.Type, props []Property, opts AllOptions) []route {
+	routes := make([]route, len(props))
 	keys := make([]string, len(props))
 	obsSets := make([]map[string]bool, len(props))
-	propErrs := make([]error, len(props))
+	closed := false
 	for i, p := range props {
 		obs, err := ObservablesFor(env, p)
 		if err != nil {
-			propErrs[i] = err
+			routes[i].err = err
 			continue
 		}
 		sorted := append([]string{}, obs...)
 		sort.Strings(sorted)
 		keys[i] = strings.Join(sorted, ",")
-		set := make(map[string]bool, len(obs))
+		obsSets[i] = make(map[string]bool, len(obs))
 		for _, x := range obs {
-			set[x] = true
+			obsSets[i][x] = true
 		}
-		obsSets[i] = set
+		closed = closed || len(obs) == 0
 	}
-	porProp := porProps(shared, t, props, obsSets, propErrs, opts)
-	groupProps := map[string][]Property{}
-	for i, p := range props {
-		if propErrs[i] == nil && !porProp[i] {
-			groupProps[keys[i]] = append(groupProps[keys[i]], p)
+	if opts.EarlyExit {
+		for i := range routes {
+			routes[i].symmetry = opts.Symmetry
 		}
+		return routes
 	}
-
-	ltsCache := map[string]*lts.LTS{}
-	joints := map[string]*jointQuotient{}
+	var sym *lts.Symmetry
+	if opts.Symmetry == SymmetryOn && closed {
+		sym = lts.DetectSymmetry(opts.Cache, t, batchPinnedChannels(props))
+	}
+	groups := map[string]*groupCell{}
 	for i, p := range props {
-		if propErrs[i] != nil {
-			return outcomes, fmt.Errorf("%s: %w", p, propErrs[i])
-		}
-		if porProp[i] {
-			// Per-property ample exploration, mirroring the concurrent
-			// pipeline's partial-order branch (shared cache, no group LTS,
-			// no joint quotient).
-			o, err := VerifyContext(ctx, Request{
-				Env: env, Type: t, Property: p, MaxStates: opts.MaxStates,
-				Cache: shared, Parallelism: 1, Progress: opts.Progress,
-				Reduction: opts.Reduction, Symmetry: opts.Symmetry,
-				PartialOrder: PartialOrderOn, symPinned: batchPinned,
-			})
-			if err != nil {
-				return outcomes, fmt.Errorf("%s: %w", p, err)
-			}
-			outcomes = append(outcomes, o)
+		if routes[i].err != nil {
 			continue
 		}
-		key := keys[i]
-		if _, ok := ltsCache[key]; !ok {
-			if err := Admissible(env, t); err != nil {
-				return outcomes, fmt.Errorf("%s: %w", p, err)
-			}
-			sem := &typelts.Semantics{Env: env, Observable: obsSets[i], WitnessOnly: true, Cache: shared}
-			var sym *lts.Symmetry
-			if opts.Symmetry == SymmetryOn && len(obsSets[i]) == 0 {
-				sym = lts.DetectSymmetry(shared, t, batchPinned)
-			}
-			m, err := lts.ExploreContext(ctx, sem, t, lts.Options{MaxStates: opts.MaxStates, Parallelism: 1, Progress: opts.Progress, Symmetry: sym})
-			if err != nil {
-				return outcomes, fmt.Errorf("%s: %w", p, err)
-			}
-			ltsCache[key] = m
-			if opts.Reduction == ReduceStrong {
-				joints[key] = buildJoint(ctx, env, m, groupProps[key])
-			}
+		claimed := sym != nil && len(obsSets[i]) == 0
+		if opts.PartialOrder == PartialOrderOn && porEligible(p.Kind) && !claimed {
+			continue
 		}
-		req := Request{
-			Env: env, Type: t, Property: p, MaxStates: opts.MaxStates,
-			Reuse: ltsCache[key], Cache: shared, Parallelism: 1,
-			Progress: opts.Progress, Reduction: opts.Reduction,
-			Symmetry: opts.Symmetry, symPinned: batchPinned, joint: joints[key],
+		g := groups[keys[i]]
+		if g == nil {
+			g = &groupCell{obs: obsSets[i]}
+			if len(obsSets[i]) == 0 {
+				g.sym = sym
+			}
+			groups[keys[i]] = g
 		}
-		o, err := VerifyContext(ctx, req)
-		if err != nil {
-			return outcomes, fmt.Errorf("%s: %w", p, err)
-		}
-		outcomes = append(outcomes, o)
+		g.props = append(g.props, p)
+		routes[i].group = g
 	}
-	return outcomes, nil
+	return routes
 }
 
 // ObservablesFor computes the Y-limitation set for a property: the

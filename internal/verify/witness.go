@@ -25,6 +25,10 @@ type Witness struct {
 	// multiset: the FlattenPar leaves of the state's interned
 	// representative type.
 	States map[int][]types.Type
+	// lts is the LTS the witness was decoded against; StateText prints
+	// components in its encounter order (lts.LTS.Components), so a
+	// rendered witness does not depend on the schedule.
+	lts *lts.LTS
 }
 
 // WitnessStep is one transition of a witness run.
@@ -43,7 +47,7 @@ func DecodeWitness(m *lts.LTS, raw *mucalc.Witness) *Witness {
 	if raw == nil {
 		return nil
 	}
-	w := &Witness{Raw: raw, States: map[int][]types.Type{}}
+	w := &Witness{Raw: raw, States: map[int][]types.Type{}, lts: m}
 	decode := func(states []int, labels []int32) []WitnessStep {
 		steps := make([]WitnessStep, 0, len(labels))
 		for i, lab := range labels {
@@ -61,9 +65,13 @@ func DecodeWitness(m *lts.LTS, raw *mucalc.Witness) *Witness {
 	return w
 }
 
-// StateText pretty-prints a visited state as its component multiset.
+// StateText pretty-prints a visited state as its component multiset,
+// in the exploration's encounter order.
 func (w *Witness) StateText(s int) string {
 	comps := w.States[s]
+	if w.lts != nil {
+		comps = w.lts.Components(s)
+	}
 	if len(comps) == 0 {
 		return "nil"
 	}

@@ -219,3 +219,46 @@ func TestEarlyExitFallsBackForAlphabetShapedSchemas(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyAllRenderedWitnessesDeterministic: a rendered witness lists
+// each state's ‖-components in the exploration's encounter order, so it
+// is the same at any parallelism and on every run — even though
+// concurrent BFS workers assign interner IDs in schedule order.
+func TestVerifyAllRenderedWitnessesDeterministic(t *testing.T) {
+	env, sys := philosophers(5, true)
+	props := []Property{
+		{Kind: DeadlockFree, Closed: true},
+		{Kind: Forwarding, From: "f0", To: "f1", Closed: true},
+		{Kind: NonUsage, Channels: []string{"f0"}, Closed: true},
+		{Kind: Reactive, From: "f0", Closed: true},
+		{Kind: Responsive, From: "f0", Closed: true},
+		{Kind: DeadlockFree, Channels: []string{"f0"}},
+	}
+	render := func(par int) []string {
+		t.Helper()
+		outs, err := VerifyAllWith(env, sys, props, AllOptions{Parallelism: par})
+		if err != nil {
+			t.Fatalf("par %d: %v", par, err)
+		}
+		texts := make([]string, len(outs))
+		for i, o := range outs {
+			if o.Witness != nil {
+				texts[i] = o.Witness.Render(0)
+			}
+		}
+		return texts
+	}
+	want := render(1)
+	if want[0] == "" {
+		t.Fatal("closed deadlock-freedom must fail with a witness on the deadlocking ring")
+	}
+	for _, par := range []int{2, 8} {
+		for run := 0; run < 5; run++ {
+			for i, got := range render(par) {
+				if got != want[i] {
+					t.Fatalf("par %d run %d %s: rendered witness differs from par 1:\n%s\nwant:\n%s", par, run, props[i], got, want[i])
+				}
+			}
+		}
+	}
+}

@@ -48,8 +48,9 @@ func WithMaxStates(n int) Option {
 }
 
 // WithParallelism sets the exploration worker count: 0 = GOMAXPROCS,
-// 1 = the serial reference engine. Verdicts, state counts and witnesses
-// are identical at any value; only wall-clock changes.
+// 1 = serial. At 1 a VerifyAll batch also runs its properties one after
+// another; otherwise they run concurrently. Verdicts, state counts and
+// witnesses are identical at any value; only wall-clock changes.
 func WithParallelism(n int) Option {
 	return func(o *sessionOptions) error {
 		o.parallelism = n
