@@ -12,6 +12,7 @@ package effpi
 // preserving the paper's comparisons (who wins, by what factor).
 
 import (
+	"runtime"
 	"testing"
 
 	"effpi/internal/lts"
@@ -358,6 +359,36 @@ func BenchmarkParallelExplorePhilosophers6(b *testing.B) {
 		})
 	}
 }
+
+// benchExploreDining9 is a bare lts.Explore of Dining(9, no deadlock)
+// (19 683 states) with a fresh transition cache per iteration, reported
+// per state: throughput (states/s), heap bytes and allocations.
+func benchExploreDining9(b *testing.B, par int) {
+	if testing.Short() {
+		b.Skip("large instance skipped in -short mode")
+	}
+	s := systems.DiningPhilosophers(9, false)
+	sem := &typelts.Semantics{Env: s.Env, Observable: map[string]bool{}, WitnessOnly: true}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	states := 0
+	for i := 0; i < b.N; i++ {
+		m, err := lts.Explore(sem, s.Type, lts.Options{Parallelism: par})
+		if err != nil {
+			b.Fatal(err)
+		}
+		states += m.Len()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(states), "B/state")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(states), "allocs/state")
+}
+
+func BenchmarkExploreDining9Serial(b *testing.B)   { benchExploreDining9(b, 1) }
+func BenchmarkExploreDining9Parallel(b *testing.B) { benchExploreDining9(b, 0) }
 
 // --- Ablations: the design choices DESIGN.md calls out -----------------------
 

@@ -116,9 +116,7 @@ func (x *Incremental) Succ(s int) ([]Edge, error) {
 		return nil, x.err
 	}
 	from := int32(len(x.b.l.edges))
-	x.b.beginState()
-	x.b.porCur = int32(s)
-	x.b.expandInto(from, x.b.stateComps[s])
+	x.b.expandInto(s, from)
 	x.b.completeRun(s, from)
 	x.grow() // expansion may have discovered new states
 	hi := int32(len(x.b.l.edges))

@@ -489,12 +489,6 @@ func (b *builder) appendEdge(e Edge, perm int32) {
 	}
 }
 
-// applyStep splices a successor multiset together (dropping the acting
-// positions i and j) and registers the resulting edge.
-func (b *builder) applyStep(from int32, comps []types.ID, i, j int, st typelts.CompStep) {
-	b.register(from, spliceSucc(comps, i, j, st.Next), st.Key, st.Label)
-}
-
 // register is the shared successor-registration path of all three
 // engines (serial loop, parallel merge, incremental expansion): order
 // the multiset by builder rank, canonicalise it to its orbit
@@ -554,40 +548,70 @@ func (b *builder) finishState(next int, from int32) {
 	b.l.start = append(b.l.start, int32(len(b.l.edges)))
 }
 
-// expandInto splices all transitions of the state with component multiset
-// comps into the edge array, starting at offset from: interleaving moves
-// of each component (Y-limited) first, then pairwise synchronisations —
-// the canonical per-state edge order shared by the serial, parallel and
-// incremental engines.
-func (b *builder) expandInto(from int32, comps []types.ID) {
+// expandInto splices all transitions of state s into the edge array,
+// starting at offset from, in forEachStep's order.
+func (b *builder) expandInto(s int, from int32) {
+	b.beginState()
+	b.porCur = int32(s)
+	comps := b.stateComps[s]
 	if b.por != nil {
-		// POR needs the whole proposal list (participants included)
-		// before registering anything, so it can select an ample subset.
-		b.registerPOR(from, comps, expandState(b.sem, comps))
+		// POR selects an ample subset of the whole proposal list.
+		b.registerProps(from, comps, expandState(b.sem, comps))
 		return
 	}
-	sem := b.sem
-	// Interleaving: each component may act on its own (Y-limited).
-	for i := range comps {
-		for _, st := range sem.ComponentSteps(comps[i]) {
-			if !sem.KeepLabel(st.Label) {
-				continue
+	forEachStep(b.sem, comps, func(i, j int, st typelts.CompStep) {
+		b.register(from, spliceSucc(comps, i, j, st.Next), st.Key, st.Label)
+	})
+}
+
+// forEachStep enumerates the transitions of the state with component
+// multiset comps in the per-state edge order every engine shares: the
+// Y-limited interleaving steps by position (j = -1), then the τ
+// synchronisations of i's output with j's input in (i, j) order. Only
+// senders × receivers are probed: SyncSteps is empty for any other
+// pair, so this equals the all-pairs enumeration (see DESIGN.md).
+func forEachStep(sem *typelts.Semantics, comps []types.ID, emit func(i, j int, st typelts.CompStep)) {
+	var sendBuf, recvBuf [32]int
+	senders, receivers := sendBuf[:0], recvBuf[:0]
+	for i, c := range comps {
+		steps := sem.ComponentSteps(c)
+		send, recv := roles(steps)
+		if send {
+			senders = append(senders, i)
+		}
+		if recv {
+			receivers = append(receivers, i)
+		}
+		for _, st := range steps {
+			if sem.KeepLabel(st.Label) {
+				emit(i, -1, st)
 			}
-			b.applyStep(from, comps, i, -1, st)
 		}
 	}
-	// Synchronisation: an output of component i meets an input of
-	// component j (i ≠ j); τ labels always survive the Y-limitation.
-	for i := range comps {
-		for j := range comps {
+	for _, i := range senders {
+		for _, j := range receivers {
 			if i == j {
 				continue
 			}
 			for _, st := range sem.SyncSteps(comps[i], comps[j]) {
-				b.applyStep(from, comps, i, j, st)
+				emit(i, j, st)
 			}
 		}
 	}
+}
+
+// roles reports whether a component with raw steps steps can send (has
+// an Output step) and receive (has an Input step).
+func roles(steps []typelts.CompStep) (send, recv bool) {
+	for _, st := range steps {
+		switch st.Label.(type) {
+		case typelts.Output:
+			send = true
+		case typelts.Input:
+			recv = true
+		}
+	}
+	return send, recv
 }
 
 // boundExceeded truncates the LTS and reports the state-bound error.
@@ -627,9 +651,7 @@ func (b *builder) exploreSerial() error {
 			b.report(next)
 		}
 		from := b.l.start[next]
-		b.beginState()
-		b.porCur = int32(next)
-		b.expandInto(from, b.stateComps[next])
+		b.expandInto(next, from)
 		b.finishState(next, from)
 	}
 	b.report(len(b.l.States))

@@ -94,23 +94,11 @@ func (b *builder) exploreParallel(par int) error {
 			}
 			from := b.l.start[next]
 			b.beginState()
-			if b.por != nil {
-				// Ample selection runs here, on the single-threaded
-				// merge side, in deterministic (parent, edge-order)
-				// order — exactly where the serial engine runs it — so
-				// the reduced LTS stays byte-identical at any worker
-				// count.
-				b.porCur = int32(next)
-				b.registerPOR(from, b.stateComps[next], props[i])
-			} else {
-				for _, p := range props[i] {
-					// register performs the same rank-order →
-					// canonicalise → intern → splice sequence applyStep
-					// runs on the serial path, so the two engines build
-					// identical states and edges (symmetric or not).
-					b.register(from, p.succ, p.key, p.lab)
-				}
-			}
+			// Registration and POR's ample selection run only here, on
+			// the single-threaded side, so the LTS (symmetric or
+			// reduced) is byte-identical at any worker count.
+			b.porCur = int32(next)
+			b.registerProps(from, b.stateComps[next], props[i])
 			b.finishState(next, from)
 			props[i] = nil
 		}
@@ -170,28 +158,12 @@ func (b *builder) expandLevel(lo, n int, forks []*typelts.Semantics) [][]proposa
 	return props
 }
 
-// expandState computes the edge proposals of one state, in the exact
-// order the serial engine would splice them: interleaving steps of each
-// component (Y-limited), then pairwise synchronisations.
+// expandState computes the edge proposals of one state, in forEachStep's
+// order — the order the serial engine splices them.
 func expandState(sem *typelts.Semantics, comps []types.ID) []proposal {
 	var out []proposal
-	for i := range comps {
-		for _, st := range sem.ComponentSteps(comps[i]) {
-			if !sem.KeepLabel(st.Label) {
-				continue
-			}
-			out = append(out, proposal{succ: spliceSucc(comps, i, -1, st.Next), key: st.Key, lab: st.Label, i: int32(i), j: -1})
-		}
-	}
-	for i := range comps {
-		for j := range comps {
-			if i == j {
-				continue
-			}
-			for _, st := range sem.SyncSteps(comps[i], comps[j]) {
-				out = append(out, proposal{succ: spliceSucc(comps, i, j, st.Next), key: st.Key, lab: st.Label, i: int32(i), j: int32(j)})
-			}
-		}
-	}
+	forEachStep(sem, comps, func(i, j int, st typelts.CompStep) {
+		out = append(out, proposal{succ: spliceSucc(comps, i, j, st.Next), key: st.Key, lab: st.Label, i: int32(i), j: int32(j)})
+	})
 	return out
 }

@@ -8,7 +8,7 @@ package lts
 //
 // The independence relation comes straight from the component-multiset
 // semantics: a transition's participants are the acting positions of
-// applyStep (one position for an interleaving step, two for a
+// forEachStep (one position for an interleaving step, two for a
 // synchronisation), successors are multiset surgery on exactly those
 // positions, and solo/pairwise enabledness is a pure function of the
 // participating component IDs. Two transitions with disjoint participant
@@ -115,7 +115,7 @@ func (p *porState) visible(l typelts.Label) bool {
 }
 
 // syncable reports whether components x and y can synchronise in either
-// direction, memoised per unordered pair.
+// direction (probing sender → receiver only), memoised per unordered pair.
 func (p *porState) syncable(x, y types.ID) bool {
 	k := [2]types.ID{x, y}
 	if k[0] > k[1] {
@@ -124,32 +124,36 @@ func (p *porState) syncable(x, y types.ID) bool {
 	if v, ok := p.canSync[k]; ok {
 		return v > 0
 	}
+	xs, xr := roles(p.sem.ComponentSteps(x))
+	ys, yr := roles(p.sem.ComponentSteps(y))
 	v := int8(-1)
-	if len(p.sem.SyncSteps(x, y)) > 0 || len(p.sem.SyncSteps(y, x)) > 0 {
+	if xs && yr && len(p.sem.SyncSteps(x, y)) > 0 || ys && xr && len(p.sem.SyncSteps(y, x)) > 0 {
 		v = 1
 	}
 	p.canSync[k] = v
 	return v > 0
 }
 
-// registerPOR registers the state's proposals through the ample filter:
-// a valid ample subset whose successors are all fresh (C3) is registered
-// alone; otherwise every proposal is registered, exactly as without POR.
-func (b *builder) registerPOR(from int32, comps []types.ID, props []proposal) {
-	// Cycle proviso (C3): an ample set is only usable when none of its
-	// edges closes back onto a state whose ample decision was already
-	// made (or onto this very state) — otherwise a cycle of ample-only
-	// edges could defer the dropped transitions forever. Feeding the
-	// check into seed selection lets a different seed succeed where the
-	// first choice would close a cycle. Soundness: every cycle of the
-	// reduced graph contains a fully expanded state — consider the last
-	// state of a cycle to make its decision; its cycle successor decided
-	// earlier, so the check fired and the state expanded fully.
-	fresh := func(succ []types.ID) bool {
-		num, ok := b.peekSeen(succ)
-		return !ok || (num != b.porCur && !b.porExpanded(num))
+// registerProps registers a state's proposals: under POR, a valid ample
+// subset whose successors are all fresh (C3) alone; otherwise all.
+func (b *builder) registerProps(from int32, comps []types.ID, props []proposal) {
+	var sel []int32
+	if b.por != nil {
+		// Cycle proviso (C3): an ample set is only usable when none of its
+		// edges closes back onto a state whose ample decision was already
+		// made (or onto this very state) — otherwise a cycle of ample-only
+		// edges could defer the dropped transitions forever. Feeding the
+		// check into seed selection lets a different seed succeed where the
+		// first choice would close a cycle. Soundness: every cycle of the
+		// reduced graph contains a fully expanded state — consider the last
+		// state of a cycle to make its decision; its cycle successor decided
+		// earlier, so the check fired and the state expanded fully.
+		fresh := func(succ []types.ID) bool {
+			num, ok := b.peekSeen(succ)
+			return !ok || (num != b.porCur && !b.porExpanded(num))
+		}
+		sel = b.por.ample(comps, props, fresh)
 	}
-	sel := b.por.ample(comps, props, fresh)
 	if sel == nil {
 		for i := range props {
 			b.register(from, props[i].succ, props[i].key, props[i].lab)

@@ -46,10 +46,10 @@ type Semantics struct {
 	// admitted into the cache.
 	depthHit bool
 	// l1comp/l1sync are the goroutine-local L1 in front of the shared
-	// cache's lock-striped maps: exploration looks the same few hundred
-	// distinct components and pairs up tens of thousands of times, so
-	// serving repeats from an unsynchronised local map keeps the hot
-	// loop lock-free (and keeps the serial engine as fast as it was
+	// cache's lock-striped maps: exploration looks up the same few
+	// hundred components and sender × receiver pairs once per state
+	// holding them, so serving repeats from an unsynchronised local map
+	// keeps the hot loop lock-free (and the serial engine as fast as
 	// before the cache grew locks). Entries are immutable slices shared
 	// with the L2 cache, so caching them locally is safe.
 	l1comp map[types.ID][]CompStep
